@@ -6,6 +6,7 @@ import (
 
 	"aspen/internal/data"
 	"aspen/internal/expr"
+	"aspen/internal/vtime"
 )
 
 // AggKind enumerates the aggregate functions of the stream engine.
@@ -51,10 +52,12 @@ type AggSpec struct {
 }
 
 // Aggregate maintains grouped aggregates incrementally over a delta
-// stream. On every input delta that changes a group's result, it emits a
+// stream. When an input batch changes a group's result, it emits a
 // retraction of the group's previous output row followed by an insertion of
-// the new one, so downstream state (materialized displays, HAVING filters)
-// tracks the aggregate exactly.
+// the new one — once per changed group per batch, so downstream state
+// (materialized displays, HAVING filters) tracks the aggregate exactly
+// without seeing the batch's intermediate values. A per-tuple Push is a
+// one-element batch.
 // Group state is keyed by 64-bit hashes of the canonical grouping-key
 // encoding; a bucket holds every group sharing the hash, and lookups verify
 // candidates against the stored key values, so no key string is
@@ -75,18 +78,29 @@ type Aggregate struct {
 // (data.Hasher), with collision buckets verified value-by-value through
 // EqualOn, so no key string is materialized per push.
 type groupTable struct {
-	keyIdx []int
-	kvIdx  []int // identity indexes into groupState.keyVals
-	nAggs  int
-	groups map[uint64][]*groupState
-	n      int // live group count
-	hasher data.Hasher
+	keyIdx   []int
+	kvIdx    []int  // identity indexes into groupState.keyVals
+	multiset []bool // per aggregate: keeps a value multiset (MIN/MAX)
+	groups   map[uint64][]*groupState
+	n        int // live group count
+	hasher   data.Hasher
+
+	dirty []*groupState // groups the batch in progress touched, in first-touched order
+	out   []data.Tuple  // scratch for the batch's emitted rows
+}
+
+// groupFolder is the per-operator half of the batch path: fold applies one
+// input delta to its group's running state, row builds the group's current
+// output row (nil when the group shows none).
+type groupFolder interface {
+	fold(g *groupState, t data.Tuple)
+	row(g *groupState) []data.Value
 }
 
 // newGroupTable resolves the grouping columns against in. groupBy must
 // already be validated (AggOutSchema / AggPartialSchema do).
-func newGroupTable(in *data.Schema, groupBy []string, nAggs int) groupTable {
-	gt := groupTable{nAggs: nAggs, groups: map[uint64][]*groupState{}}
+func newGroupTable(in *data.Schema, groupBy []string, specs []AggSpec) groupTable {
+	gt := groupTable{multiset: multisetAggs(specs), groups: map[uint64][]*groupState{}}
 	// keyIdx must stay non-nil: Tuple.HashOn(h, nil) means "all columns",
 	// but an empty GROUP BY means one global group (empty key).
 	gt.keyIdx = make([]int, 0, len(groupBy))
@@ -99,24 +113,36 @@ func newGroupTable(in *data.Schema, groupBy []string, nAggs int) groupTable {
 	return gt
 }
 
+// multisetAggs marks the aggregates that need a value multiset: only MIN
+// and MAX must recover the next extremum after a deletion.
+func multisetAggs(specs []AggSpec) []bool {
+	ms := make([]bool, len(specs))
+	for i, s := range specs {
+		ms[i] = s.Kind == AggMin || s.Kind == AggMax
+	}
+	return ms
+}
+
 // lookup finds the tuple's group, creating it for insertions. The nil
-// group result means a deletion addressed an unknown group (ignored by
-// every caller, matching the delta-stream convention).
-func (gt *groupTable) lookup(t data.Tuple) (uint64, *groupState) {
+// result means a deletion addressed an unknown group (ignored by every
+// caller, matching the delta-stream convention).
+func (gt *groupTable) lookup(t data.Tuple) *groupState {
 	key := gt.hasher.HashOn(t, gt.keyIdx) & testHashMask
 	for _, cand := range gt.groups[key] {
 		// Verify the hash-bucket candidate's stored key values against the
 		// tuple's grouping columns under key-equality semantics.
 		if (data.Tuple{Vals: cand.keyVals}).EqualOn(gt.kvIdx, t, gt.keyIdx) {
-			return key, cand
+			return cand
 		}
 	}
 	if t.Op == data.Delete {
-		return key, nil
+		return nil
 	}
-	g := &groupState{aggs: make([]aggState, gt.nAggs)}
-	for i := range g.aggs {
-		g.aggs[i].vals = map[float64]int64{}
+	g := &groupState{key: key, aggs: make([]aggState, len(gt.multiset))}
+	for i, ms := range gt.multiset {
+		if ms {
+			g.aggs[i].vals = map[float64]int64{}
+		}
 	}
 	g.keyVals = make([]data.Value, len(gt.keyIdx))
 	for i, idx := range gt.keyIdx {
@@ -124,20 +150,20 @@ func (gt *groupTable) lookup(t data.Tuple) (uint64, *groupState) {
 	}
 	gt.groups[key] = append(gt.groups[key], g)
 	gt.n++
-	return key, g
+	return g
 }
 
 // remove drops a dead group from its bucket.
-func (gt *groupTable) remove(key uint64, g *groupState) {
-	bucket := gt.groups[key]
+func (gt *groupTable) remove(g *groupState) {
+	bucket := gt.groups[g.key]
 	for i, cand := range bucket {
 		if cand == g {
 			copy(bucket[i:], bucket[i+1:])
 			bucket[len(bucket)-1] = nil // drop the reference for GC
 			if len(bucket) == 1 {
-				delete(gt.groups, key)
+				delete(gt.groups, g.key)
 			} else {
-				gt.groups[key] = bucket[:len(bucket)-1]
+				gt.groups[g.key] = bucket[:len(bucket)-1]
 			}
 			break
 		}
@@ -145,33 +171,86 @@ func (gt *groupTable) remove(key uint64, g *groupState) {
 	gt.n--
 }
 
-// emitRow retracts g's previously emitted row and emits newOut (nil means
-// no visible row, e.g. failed HAVING or dead group), suppressing no-op
-// transitions, then removes the group once its count reaches zero.
-func (gt *groupTable) emitRow(next Operator, key uint64, g *groupState, newOut []data.Value, cause data.Tuple) {
+// push is the per-tuple Push of every group-table operator: the batch
+// path on a one-element batch.
+func (gt *groupTable) push(op groupFolder, next Operator, t data.Tuple) {
+	one := [1]data.Tuple{t}
+	gt.pushBatch(op, next, one[:])
+}
+
+// pushBatch folds the whole batch into group state in input order — so
+// float sums are bit-identical to folding tuple by tuple — and then emits
+// each touched group's row change once, in first-touched order, stamped
+// with the TS of the last tuple that touched the group. The emitted rows
+// leave as one downstream batch.
+//
+// The result equals the per-tuple path's net effect exactly. A group
+// whose count reaches zero mid-batch is reset to a fresh group's state, as
+// if it had been removed and re-created; a deletion addressed to such an
+// emptied group is ignored, as deletions for unknown groups are.
+func (gt *groupTable) pushBatch(op groupFolder, next Operator, ts []data.Tuple) {
+	for _, t := range ts {
+		g := gt.lookup(t)
+		if g == nil || (g.count == 0 && t.Op == data.Delete) {
+			continue // deletion for an unknown or emptied group: ignore
+		}
+		if !g.dirty {
+			g.dirty = true
+			gt.dirty = append(gt.dirty, g)
+		}
+		g.ts = t.TS
+		op.fold(g, t)
+		if g.count <= 0 {
+			g.reset()
+		}
+	}
+	out := gt.out[:0]
+	for _, g := range gt.dirty {
+		g.dirty = false
+		out = gt.emitRow(out, g, op.row(g))
+	}
+	clear(gt.dirty)
+	gt.dirty = gt.dirty[:0]
+	if len(out) > 0 {
+		PushBatch(next, out)
+	}
+	clear(out) // the downstream owns the rows now
+	gt.out = out[:0]
+}
+
+// emitRow appends the retraction of g's previously emitted row and the
+// insertion of newOut (nil means no visible row, e.g. failed HAVING or
+// dead group) to out, suppressing no-op transitions, then removes the
+// group once its count reaches zero.
+func (gt *groupTable) emitRow(out []data.Tuple, g *groupState, newOut []data.Value) []data.Tuple {
 	if g.lastOut != nil {
-		same := newOut != nil && len(newOut) == len(g.lastOut)
-		if same {
-			for i := range newOut {
-				if !(newOut[i].IsNull() && g.lastOut[i].IsNull()) && !newOut[i].Equal(g.lastOut[i]) {
-					same = false
-					break
-				}
-			}
+		if sameRow(newOut, g.lastOut) {
+			return out // no visible change (newOut != nil: the group lives)
 		}
-		if same {
-			return // no visible change
-		}
-		next.Push(data.Tuple{Vals: g.lastOut, TS: cause.TS, Op: data.Delete})
+		out = append(out, data.Tuple{Vals: g.lastOut, TS: g.ts, Op: data.Delete})
 		g.lastOut = nil
 	}
 	if newOut != nil {
-		next.Push(data.Tuple{Vals: newOut, TS: cause.TS, Op: data.Insert})
+		out = append(out, data.Tuple{Vals: newOut, TS: g.ts, Op: data.Insert})
 		g.lastOut = newOut
 	}
 	if g.count <= 0 {
-		gt.remove(key, g)
+		gt.remove(g)
 	}
+	return out
+}
+
+// sameRow reports whether a and b show the same values (NULLs equal).
+func sameRow(a, b []data.Value) bool {
+	if a == nil || len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !(a[i].IsNull() && b[i].IsNull()) && !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 type groupState struct {
@@ -179,12 +258,27 @@ type groupState struct {
 	count   int64 // tuples in group
 	aggs    []aggState
 	lastOut []data.Value // previously emitted row (nil if none)
+
+	key   uint64     // hash-table key
+	dirty bool       // touched by the batch in progress
+	ts    vtime.Time // TS of the last tuple that touched the group
+}
+
+// reset returns an emptied group to a fresh group's state.
+func (g *groupState) reset() {
+	g.count = 0
+	for i := range g.aggs {
+		st := &g.aggs[i]
+		st.n, st.sum = 0, 0
+		clear(st.vals)
+	}
 }
 
 type aggState struct {
 	n   int64 // non-null inputs
 	sum float64
-	// multiset of values for min/max deletion support
+	// multiset of values for MIN/MAX deletion support (nil for the other
+	// kinds, which need only n and sum)
 	vals map[float64]int64
 }
 
@@ -233,7 +327,7 @@ func NewAggregate(next Operator, in *data.Schema, groupBy []string, specs []AggS
 		return nil, err
 	}
 	a := &Aggregate{next: next, in: in, out: out, specs: specs,
-		table: newGroupTable(in, groupBy, len(specs))}
+		table: newGroupTable(in, groupBy, specs)}
 	if a.args, err = bindAggArgs(in, specs); err != nil {
 		return nil, err
 	}
@@ -256,15 +350,16 @@ func (a *Aggregate) Schema() *data.Schema { return a.in }
 // OutSchema returns the grouped output schema.
 func (a *Aggregate) OutSchema() *data.Schema { return a.out }
 
-// Push implements Operator.
-func (a *Aggregate) Push(t data.Tuple) {
-	key, g := a.table.lookup(t)
-	if g == nil {
-		return // deletion for unknown group: ignore
-	}
-	accumulate(g, t, a.args)
-	a.emit(key, g, t)
-}
+// Push implements Operator: a one-element batch.
+func (a *Aggregate) Push(t data.Tuple) { a.table.push(a, a.next, t) }
+
+// PushBatch implements BatchOperator: each group the batch changes emits
+// one retraction and one insertion.
+func (a *Aggregate) PushBatch(ts []data.Tuple) { a.table.pushBatch(a, a.next, ts) }
+
+func (a *Aggregate) fold(g *groupState, t data.Tuple) { accumulate(g, t, a.args) }
+
+func (a *Aggregate) row(g *groupState) []data.Value { return finalRow(g, a.specs, a.having) }
 
 // bindAggArgs compiles each spec's argument against in (nil entries mark
 // COUNT(*)). Shared by the one- and two-phase aggregate constructors.
@@ -293,8 +388,8 @@ func checkAggDownstream(next Operator, out *data.Schema, what string) error {
 }
 
 // accumulate folds one input tuple into the group's running state — the
-// group count and every aggregate's (n, sum, value-multiset) — with the
-// tuple's polarity deciding the delta sign. Aggregate and
+// group count and every aggregate's (n, sum, MIN/MAX value multiset) —
+// with the tuple's polarity deciding the delta sign. Aggregate and
 // PartialAggregate accumulate identically; they differ only in what they
 // emit.
 func accumulate(g *groupState, t data.Tuple, args []*expr.Compiled) {
@@ -316,17 +411,10 @@ func accumulate(g *groupState, t data.Tuple, args []*expr.Compiled) {
 		f := v.AsFloat()
 		st.n += delta
 		st.sum += float64(delta) * f
-		st.vals[f] += delta
-		if st.vals[f] <= 0 {
-			delete(st.vals, f)
+		if st.vals != nil {
+			addMultiset(st.vals, f, delta)
 		}
 	}
-}
-
-// emit retracts the group's previous row and emits the new one (subject to
-// HAVING). Groups that become empty only retract.
-func (a *Aggregate) emit(key uint64, g *groupState, cause data.Tuple) {
-	a.table.emitRow(a.next, key, g, finalRow(g, a.specs, a.having), cause)
 }
 
 // finalRow builds a group's visible output row — grouping columns followed
@@ -345,6 +433,16 @@ func finalRow(g *groupState, specs []AggSpec, having *expr.Compiled) []data.Valu
 		return nil
 	}
 	return out
+}
+
+// addMultiset adds delta occurrences of f, dropping values whose count
+// falls to zero.
+func addMultiset(vals map[float64]int64, f float64, delta int64) {
+	if c := vals[f] + delta; c > 0 {
+		vals[f] = c
+	} else {
+		delete(vals, f)
+	}
 }
 
 // result finalizes one aggregate from its state.

@@ -221,3 +221,56 @@ func TestWindowedAggregateEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestAggregateMultisetOnlyForMinMax: only MIN/MAX keep a value multiset,
+// so checkpoints of the other kinds carry no Vals, and checkpoints written
+// when every aggregate kept one still restore (the extra multisets are
+// dropped) and continue exactly where the original left off.
+func TestAggregateMultisetOnlyForMinMax(t *testing.T) {
+	specs := []AggSpec{
+		{Kind: AggAvg, Arg: expr.C("temp"), Alias: "m"},
+		{Kind: AggMin, Arg: expr.C("temp"), Alias: "lo"},
+		{Kind: AggSum, Arg: expr.C("temp"), Alias: "s"},
+	}
+	a, matA := newAgg(t, []string{"room"}, specs, nil)
+	a.PushBatch([]data.Tuple{temp(1, "L1", 20), temp(2, "L1", 22.5), temp(3, "L2", 18)})
+	st := a.CheckpointState()
+	for _, g := range st.Groups.Groups {
+		if g.Aggs[0].Vals != nil || g.Aggs[2].Vals != nil || len(g.Aggs[1].Vals) == 0 {
+			t.Fatalf("group %v: multisets %v / %v / %v, want one for MIN only",
+				g.KeyVals, g.Aggs[0].Vals, g.Aggs[1].Vals, g.Aggs[2].Vals)
+		}
+		// What a checkpoint from before the MIN/MAX-only rule carried.
+		g.Aggs[0].Vals = map[float64]int64{99: 1}
+		g.Aggs[2].Vals = map[float64]int64{99: 1}
+	}
+	payload, err := EncodeCheckpoint([]Checkpointer{checkpointOf(st)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, matB := newAgg(t, []string{"room"}, specs, nil)
+	if err := RestoreCheckpoint([]Checkpointer{b}, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := matB.RestoreState(matA.CheckpointState()); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range b.CheckpointState().Groups.Groups {
+		if g.Aggs[0].Vals != nil || g.Aggs[2].Vals != nil {
+			t.Fatalf("restored group %v kept a legacy multiset", g.KeyVals)
+		}
+	}
+	more := []data.Tuple{temp(4, "L1", 20).Negate(), temp(5, "L2", 30), temp(6, "L1", 19)}
+	a.PushBatch(more)
+	b.PushBatch(more)
+	if x, y := canonState(matA.CheckpointState()), canonState(matB.CheckpointState()); x != y {
+		t.Fatalf("restored aggregate diverged:\n original: %s\n restored: %s", x, y)
+	}
+}
+
+// checkpointOf wraps a fixed state as a Checkpointer for EncodeCheckpoint.
+type checkpointOf OpState
+
+func (c checkpointOf) CheckpointState() OpState { return OpState(c) }
+
+func (c checkpointOf) RestoreState(OpState) error { return nil }

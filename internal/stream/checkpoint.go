@@ -240,22 +240,27 @@ func (gt *groupTable) restore(st *GroupsState) error {
 	gt.groups = map[uint64][]*groupState{}
 	gt.n = 0
 	for _, gc := range st.Groups {
-		if len(gc.Aggs) != gt.nAggs {
+		if len(gc.Aggs) != len(gt.multiset) {
 			return fmt.Errorf("stream: group checkpoint carries %d aggregates, operator has %d",
-				len(gc.Aggs), gt.nAggs)
+				len(gc.Aggs), len(gt.multiset))
 		}
-		g := &groupState{keyVals: gc.KeyVals, count: gc.Count, aggs: make([]aggState, gt.nAggs)}
+		key := gt.hasher.HashOn(data.Tuple{Vals: gc.KeyVals}, nil) & testHashMask
+		g := &groupState{keyVals: gc.KeyVals, count: gc.Count, aggs: make([]aggState, len(gc.Aggs)), key: key}
 		if gc.HasOut {
 			g.lastOut = gc.LastOut
 		}
 		for i, a := range gc.Aggs {
-			vals := a.Vals
-			if vals == nil {
-				vals = map[float64]int64{}
+			// Only MIN/MAX keep a value multiset; checkpoints written before
+			// that rule carry one for every aggregate, dropped here.
+			var vals map[float64]int64
+			if gt.multiset[i] {
+				vals = a.Vals
+				if vals == nil {
+					vals = map[float64]int64{}
+				}
 			}
 			g.aggs[i] = aggState{n: a.N, sum: a.Sum, vals: vals}
 		}
-		key := gt.hasher.HashOn(data.Tuple{Vals: g.keyVals}, nil) & testHashMask
 		gt.groups[key] = append(gt.groups[key], g)
 		gt.n++
 	}

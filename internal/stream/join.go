@@ -17,6 +17,10 @@ import (
 // rather than materialized key strings, so the per-tuple path performs no
 // heap allocation; buckets may mix distinct keys on hash collision, and
 // every probe hit is verified with EqualOn before emitting.
+//
+// Each input is batch-native: one input batch's matches leave as one
+// downstream batch, in exactly the order per-tuple pushes would emit them
+// (the opposite table does not change during a one-sided batch).
 type Join struct {
 	next Operator
 
@@ -28,6 +32,7 @@ type Join struct {
 	rTable          map[uint64][]data.Tuple
 	hasher          data.Hasher
 	leftIn, rightIn joinInput
+	batch           []data.Tuple // scratch for one input batch's matches
 }
 
 type joinInput struct {
@@ -43,8 +48,14 @@ func (ji *joinInput) Schema() *data.Schema {
 	return ji.j.right
 }
 
-// Push implements Operator.
-func (ji *joinInput) Push(t data.Tuple) { ji.j.push(t, ji.left) }
+// Push implements Operator: a one-element batch.
+func (ji *joinInput) Push(t data.Tuple) {
+	one := [1]data.Tuple{t}
+	ji.j.pushBatch(one[:], ji.left)
+}
+
+// PushBatch implements BatchOperator.
+func (ji *joinInput) PushBatch(ts []data.Tuple) { ji.j.pushBatch(ts, ji.left) }
 
 // NewJoin builds a symmetric hash join. lCols/rCols name the equi-join
 // keys (same length, possibly empty for a pure cross/residual join);
@@ -101,7 +112,23 @@ func (j *Join) Right() Operator { return &j.rightIn }
 // OutSchema returns the concatenated output schema.
 func (j *Join) OutSchema() *data.Schema { return j.out }
 
-func (j *Join) push(t data.Tuple, fromLeft bool) {
+// pushBatch applies a batch from one side and forwards its matches as one
+// batch.
+func (j *Join) pushBatch(ts []data.Tuple, fromLeft bool) {
+	out := j.batch[:0]
+	for _, t := range ts {
+		out = j.push(t, fromLeft, out)
+	}
+	if len(out) > 0 {
+		PushBatch(j.next, out)
+	}
+	clear(out) // the downstream owns the joined tuples now
+	j.batch = out[:0]
+}
+
+// push maintains fromLeft's table for t and appends t's joined deltas to
+// out.
+func (j *Join) push(t data.Tuple, fromLeft bool, out []data.Tuple) []data.Tuple {
 	var mine, other map[uint64][]data.Tuple
 	var myKey, otherKey []int
 	if fromLeft {
@@ -147,8 +174,9 @@ func (j *Join) push(t data.Tuple, fromLeft bool) {
 		if j.residual != nil && !j.residual.EvalBool(joined) {
 			continue
 		}
-		j.next.Push(joined)
+		out = append(out, joined)
 	}
+	return out
 }
 
 // SizeLeft and SizeRight report table populations for plan displays.

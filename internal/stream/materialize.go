@@ -152,7 +152,11 @@ func (m *Materialize) Len() int {
 	return m.n
 }
 
-// Version increments on every mutation; displays poll it cheaply.
+// Version increments once per applied delta; displays poll it cheaply.
+// Upstream aggregates emit per batch, so one batch moves Version by at
+// most two per changed group (retract the old row, insert the new one):
+// the intermediate values a group takes inside a batch never reach the
+// result and are never counted.
 func (m *Materialize) Version() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()

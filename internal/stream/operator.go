@@ -37,6 +37,14 @@ type Operator interface {
 // BatchOperator is implemented by operators with a native batched push
 // that amortizes per-tuple dispatch (locking, transport framing, window
 // maintenance) over the batch.
+//
+// A batch is the unit of visibility. Stateful operators apply the whole
+// batch before emitting, so the state after PushBatch equals the state
+// after pushing the same tuples one by one, but the deltas in between are
+// coalesced: an aggregate changes each group's row at most once per batch
+// (one retraction, one insertion), and the intermediate per-tuple values
+// a group passes through inside the batch are never observable
+// downstream. A per-tuple Push is a one-element batch.
 type BatchOperator interface {
 	Operator
 	// PushBatch processes the tuples in order. The batch slice itself is
@@ -109,10 +117,11 @@ func (f *Filter) PushBatch(ts []data.Tuple) {
 			out = append(out, t)
 		}
 	}
-	f.batch = out[:0]
 	if len(out) > 0 {
 		PushBatch(f.next, out)
 	}
+	clear(out) // keep no references to the downstream's tuples
+	f.batch = out[:0]
 }
 
 // Project maps tuples through scalar expressions.
@@ -199,8 +208,9 @@ func (p *Project) PushBatch(ts []data.Tuple) {
 		}
 		out = append(out, data.Tuple{Vals: vals, TS: t.TS, Op: t.Op})
 	}
-	p.batch = out[:0]
 	PushBatch(p.next, out)
+	clear(out) // keep no references to the downstream's tuples
+	p.batch = out[:0]
 }
 
 // Distinct enforces set semantics over a delta stream using multiplicity

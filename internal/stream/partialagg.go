@@ -15,12 +15,12 @@ import (
 //	serial:    FinalMerge        — merges the shards' partials per group
 //
 // PartialAggregate emits each group's partial state as a tuple; every
-// change retracts the previous partial row and inserts the new one, the
-// exact discipline Aggregate uses for visible rows, so FinalMerge sees at
-// most one live contribution per (group, shard) at any instant and can
-// combine contributions additively. Deletions flow through both stages:
-// the partial state shrinks, the shrunken partial replaces the old one,
-// and the merged result follows.
+// batch that changes it retracts the previous partial row and inserts the
+// new one, the exact discipline Aggregate uses for visible rows, so
+// FinalMerge sees at most one live contribution per (group, shard) at any
+// instant and can combine contributions additively. Deletions flow
+// through both stages: the partial state shrinks, the shrunken partial
+// replaces the old one, and the merged result follows.
 //
 // The partial row layout (AggPartialSchema) is the grouping columns, the
 // group's tuple count, then per aggregate a non-null-input count and a
@@ -70,7 +70,7 @@ func NewPartialAggregate(next Operator, in *data.Schema, groupBy []string, specs
 		return nil, err
 	}
 	a := &PartialAggregate{next: next, in: in, out: out, specs: specs,
-		table: newGroupTable(in, groupBy, len(specs))}
+		table: newGroupTable(in, groupBy, specs)}
 	if a.args, err = bindAggArgs(in, specs); err != nil {
 		return nil, err
 	}
@@ -89,30 +89,29 @@ func (a *PartialAggregate) OutSchema() *data.Schema { return a.out }
 // Groups reports the live group count of this shard.
 func (a *PartialAggregate) Groups() int { return a.table.n }
 
-// Push implements Operator.
-func (a *PartialAggregate) Push(t data.Tuple) {
-	key, g := a.table.lookup(t)
-	if g == nil {
-		return // deletion for unknown group: ignore
-	}
-	accumulate(g, t, a.args)
-	a.emit(key, g, t)
-}
+// Push implements Operator: a one-element batch.
+func (a *PartialAggregate) Push(t data.Tuple) { a.table.push(a, a.next, t) }
 
-// emit replaces the group's previous partial row with the current state;
-// dead groups only retract (their contribution leaves the merge).
-func (a *PartialAggregate) emit(key uint64, g *groupState, cause data.Tuple) {
-	var newOut []data.Value
-	if g.count > 0 {
-		newOut = make([]data.Value, 0, len(g.keyVals)+1+2*len(a.specs))
-		newOut = append(newOut, g.keyVals...)
-		newOut = append(newOut, data.Int(g.count))
-		for i, s := range a.specs {
-			st := &g.aggs[i]
-			newOut = append(newOut, data.Int(st.n), st.partial(s.Kind))
-		}
+// PushBatch implements BatchOperator: each group the batch changes
+// replaces its partial row once.
+func (a *PartialAggregate) PushBatch(ts []data.Tuple) { a.table.pushBatch(a, a.next, ts) }
+
+func (a *PartialAggregate) fold(g *groupState, t data.Tuple) { accumulate(g, t, a.args) }
+
+// row is the group's current partial row; dead groups show none (their
+// contribution leaves the merge).
+func (a *PartialAggregate) row(g *groupState) []data.Value {
+	if g.count <= 0 {
+		return nil
 	}
-	a.table.emitRow(a.next, key, g, newOut, cause)
+	out := make([]data.Value, 0, len(g.keyVals)+1+2*len(a.specs))
+	out = append(out, g.keyVals...)
+	out = append(out, data.Int(g.count))
+	for i, s := range a.specs {
+		st := &g.aggs[i]
+		out = append(out, data.Int(st.n), st.partial(s.Kind))
+	}
+	return out
 }
 
 // partial encodes the kind-dependent partial value of one aggregate.
@@ -161,7 +160,7 @@ func NewFinalMerge(next Operator, source *data.Schema, groupBy []string, specs [
 	}
 	f := &FinalMerge{next: next, in: in, out: out, specs: specs,
 		cntIdx: len(groupBy),
-		table:  groupTable{nAggs: len(specs), groups: map[uint64][]*groupState{}}}
+		table:  groupTable{multiset: multisetAggs(specs), groups: map[uint64][]*groupState{}}}
 	// Group columns sit first in the partial row, in groupBy order; key on
 	// them positionally (identity indexes, like the stored key values).
 	f.table.keyIdx = make([]int, len(groupBy))
@@ -197,16 +196,20 @@ func (f *FinalMerge) OutSchema() *data.Schema { return f.out }
 // Groups reports the live merged group count.
 func (f *FinalMerge) Groups() int { return f.table.n }
 
-// Push implements Operator: one partial-state delta folds into the group's
-// merged totals. Contributions are additive (counts and sums subtract
-// exactly; MIN/MAX contributions live in a delta-counted multiset), so
-// interleaving across shards is immaterial — each shard retracts its old
-// partial before inserting the new one, in its own order.
-func (f *FinalMerge) Push(t data.Tuple) {
-	key, g := f.table.lookup(t)
-	if g == nil {
-		return // retraction for an unknown group: ignore
-	}
+// Push implements Operator: a one-element batch.
+func (f *FinalMerge) Push(t data.Tuple) { f.table.push(f, f.next, t) }
+
+// PushBatch implements BatchOperator: the batch's partial-state deltas
+// fold into the merged totals, then each changed group emits its
+// finalized row once.
+func (f *FinalMerge) PushBatch(ts []data.Tuple) { f.table.pushBatch(f, f.next, ts) }
+
+// fold folds one partial-state delta into the group's merged totals.
+// Contributions are additive (counts and sums subtract exactly; MIN/MAX
+// contributions live in a delta-counted multiset), so interleaving across
+// shards is immaterial — each shard retracts its old partial before
+// inserting the new one, in its own order.
+func (f *FinalMerge) fold(g *groupState, t data.Tuple) {
 	delta := int64(1)
 	if t.Op == data.Delete {
 		delta = -1
@@ -223,12 +226,9 @@ func (f *FinalMerge) Push(t data.Tuple) {
 		case AggSum, AggAvg:
 			st.sum += float64(delta) * v.AsFloat()
 		case AggMin, AggMax:
-			fv := v.AsFloat()
-			st.vals[fv] += delta
-			if st.vals[fv] <= 0 {
-				delete(st.vals, fv)
-			}
+			addMultiset(st.vals, v.AsFloat(), delta)
 		}
 	}
-	f.table.emitRow(f.next, key, g, finalRow(g, f.specs, f.having), t)
 }
+
+func (f *FinalMerge) row(g *groupState) []data.Value { return finalRow(g, f.specs, f.having) }

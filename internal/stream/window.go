@@ -87,11 +87,7 @@ func (w *Window) removeAt(i int) {
 // Push implements Operator. Deletions pass through (an upstream retraction
 // removes the tuple from the window if present).
 func (w *Window) Push(t data.Tuple) {
-	out := w.apply(t, w.batch[:0])
-	w.batch = out[:0]
-	for _, o := range out {
-		w.next.Push(o)
-	}
+	w.emit(w.apply(t, w.batch[:0]))
 }
 
 // PushBatch implements BatchOperator: window maintenance for the whole
@@ -102,10 +98,25 @@ func (w *Window) PushBatch(ts []data.Tuple) {
 	for _, t := range ts {
 		out = w.apply(t, out)
 	}
-	w.batch = out[:0]
 	if len(out) > 0 {
 		PushBatch(w.next, out)
 	}
+	w.release(out)
+}
+
+// emit pushes deltas downstream one tuple at a time (the per-tuple path).
+func (w *Window) emit(out []data.Tuple) {
+	for _, o := range out {
+		w.next.Push(o)
+	}
+	w.release(out)
+}
+
+// release keeps out as scratch after its deltas went downstream, without
+// keeping the tuples themselves — expired ones included — reachable.
+func (w *Window) release(out []data.Tuple) {
+	clear(out)
+	w.batch = out[:0]
 }
 
 // apply performs window maintenance for one tuple and appends the deltas
@@ -143,11 +154,7 @@ func (w *Window) Advance(now vtime.Time) {
 	if w.kind != windowTime {
 		return
 	}
-	out := w.advanceTo(now, w.batch[:0])
-	w.batch = out[:0]
-	for _, o := range out {
-		w.next.Push(o)
-	}
+	w.emit(w.advanceTo(now, w.batch[:0]))
 }
 
 func (w *Window) advanceTo(now vtime.Time, out []data.Tuple) []data.Tuple {
